@@ -36,18 +36,6 @@ class AckPolicy:
         """Cancel timers; called when the connection closes."""
         self.receiver = None
 
-    def attach_profiler(self, profiler) -> None:
-        """Bind the data/gap hot paths to ``ack.<name>.*`` spans.
-
-        Called by the receiver at construction time; re-binding keeps
-        the paths branch-free when no profiler is attached.
-        """
-        if profiler is not None:
-            self.on_data = profiler.wrap(f"ack.{self.name}.on_data",
-                                         self.on_data)
-            self.on_gap = profiler.wrap(f"ack.{self.name}.on_gap",
-                                        self.on_gap)
-
     # ------------------------------------------------------------------
     # events from the receiver
     # ------------------------------------------------------------------

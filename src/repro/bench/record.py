@@ -44,8 +44,8 @@ def machine_fingerprint(host: Optional[Dict[str, Any]] = None) -> str:
     record carries this fingerprint and series are filtered by it.
     """
     if host is None:
-        # Deferred: repro.runner.campaign imports this module for
-        # file_sha256, so a top-level manifest import would be circular.
+        # Deferred: importing repro.bench should not load the whole
+        # repro.runner package.
         from repro.runner.manifest import host_metadata
         host = host_metadata()
     blob = json.dumps(host, sort_keys=True).encode()

@@ -98,16 +98,6 @@ class CongestionController:
         self._diag = doctor
         self._diag_flow = flow_id
 
-    def attach_profiler(self, profiler) -> None:
-        """Bind the feedback hot path to a ``cc.<name>`` profile span.
-
-        Called by the sender at construction time; re-binding the bound
-        method keeps the path branch-free when no profiler is attached.
-        """
-        if profiler is not None:
-            self.on_feedback = profiler.wrap(f"cc.{self.name}",
-                                             self.on_feedback)
-
     def _tel_emit(self, name: str, **fields) -> None:
         if self._tel is not None:
             self._tel.emit("cc", name, self._tel_flow, **fields)

@@ -140,18 +140,19 @@ def _execute(config: FleetConfig, args: argparse.Namespace,
 
 def _render_report(manifest: Path, args: argparse.Namespace) -> None:
     report = campaign_report(manifest)
-    if getattr(args, "json", False):
+    as_json = getattr(args, "json", False)
+    if as_json:
         print(json.dumps(report, indent=2, sort_keys=True))
-        return
-    if not args.quiet:
-        print()
-    report_table(report).show()
+    else:
+        if not args.quiet:
+            print()
+        report_table(report).show()
     save = getattr(args, "save", None)
     if save:
         Path(save).parent.mkdir(parents=True, exist_ok=True)
         Path(save).write_text(json.dumps(report, indent=2, sort_keys=True)
                               + "\n")
-        if not args.quiet:
+        if not args.quiet and not as_json:  # keep --json stdout parseable
             print(f"report saved to {save}")
 
 

@@ -69,20 +69,20 @@ class Simulator:
         structured events from instrumented components.  Like the
         sanitizer it must be in place before endpoints/links are
         constructed — they cache the reference at build time.
-    profiler:
-        Optional :class:`repro.profile.Profiler` accounting host wall
-        time per handler class and subsystem.  Same construction-order
-        rule as telemetry: attach before endpoints are built so they
-        can bind profiled spans at construction time.
     energy:
         Optional :class:`repro.energy.EnergyLedger` folding per-packet
         airtime and radio power states into per-flow joule accounts.
         Same construction-order rule: links/endpoints cache
         ``sim.energy`` at build time.
+
+    Host-side profiling needs no parameter: build and run the
+    simulation inside a ``with Profiler():`` block
+    (:mod:`repro.profile`), which times callbacks from outside by
+    patching :meth:`call_at` for the duration of the block.
     """
 
     def __init__(self, seed: int = 1, simsan: Optional[bool] = None,
-                 telemetry=None, profiler=None, energy=None, diagnosis=None):
+                 telemetry=None, energy=None, diagnosis=None):
         self.clock = Clock()
         self.rng = random.Random(seed)
         self._queue: list[Event] = []
@@ -93,9 +93,6 @@ class Simulator:
         self.telemetry = None
         if telemetry is not None:
             self.attach_telemetry(telemetry)
-        self.profiler = None
-        if profiler is not None:
-            self.attach_profiler(profiler)
         self.energy = None
         if energy is not None:
             self.attach_energy(energy)
@@ -145,19 +142,6 @@ class Simulator:
         self.diagnosis = doctor.attach(self)
         return self.diagnosis
 
-    def attach_profiler(self, profiler):
-        """Attach a host-side profiler (``repro.profile``).
-
-        Binds the profiler to this simulator's virtual clock so the
-        report can state simulated-seconds-per-wall-second.  Must be
-        called before endpoints/links are constructed — they bind
-        profiled method spans at build time (same rule as telemetry).
-        """
-        if profiler is not None:
-            profiler.attach(self)
-        self.profiler = profiler
-        return self.profiler
-
     # ------------------------------------------------------------------
     # time
     # ------------------------------------------------------------------
@@ -205,24 +189,9 @@ class Simulator:
 
         Returns ``False`` when the queue is empty (simulation is over).
         """
-        while self._queue:
-            ev = heapq.heappop(self._queue)
-            if ev.cancelled:
-                continue
-            if self.san is not None:
-                self.san.on_event(ev.time)
-            self.clock.advance_to(ev.time)
-            self._events_fired += 1
-            if self.profiler is not None:
-                self.profiler.event_begin(ev.fn, len(self._queue))
-                try:
-                    ev.fn()
-                finally:
-                    self.profiler.event_end()
-            else:
-                ev.fn()
-            return True
-        return False
+        fired = self._events_fired
+        self.run(max_events=1)
+        return self._events_fired > fired
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run events until the queue drains, ``until`` is reached, or
@@ -234,7 +203,6 @@ class Simulator:
         measurement window behaves.
         """
         fired = 0
-        prof = self.profiler  # hoisted: attach happens before run()
         while self._queue:
             ev = self._queue[0]
             if ev.cancelled:
@@ -250,14 +218,7 @@ class Simulator:
             self.clock.advance_to(ev.time)
             self._events_fired += 1
             fired += 1
-            if prof is not None:
-                prof.event_begin(ev.fn, len(self._queue))
-                try:
-                    ev.fn()
-                finally:
-                    prof.event_end()
-            else:
-                ev.fn()
+            ev.fn()
         if until is not None and self.clock.now() < until:
             self.clock.advance_to(until)
         return self.clock.now()

@@ -7,19 +7,21 @@ while events fire, how deep the calendar queue grows, how many events
 per wall-second the engine sustains, and (optionally, via
 ``tracemalloc``) where the memory is.
 
-Opt-in follows the simsan/telemetry null-guard discipline::
+The profiler attaches from outside, like :class:`cProfile.Profile`:
+build and run the simulation inside its ``with`` block::
 
-    prof = Profiler()
-    sim = Simulator(seed=1, profiler=prof)   # before endpoints are built
-    ... run ...
+    with Profiler() as prof:
+        sim = Simulator(seed=1)
+        ... build, run ...
     prof.report()                 # JSON-ready dict
     prof.write_json("run.profile.json")
     prof.write_collapsed("run.folded")       # flamegraph.pl compatible
 
-Instrumented components hold the reference behind ``if ... is not
-None`` guards (reprolint REP007 keeps sim-side modules from importing
-this package or touching the profiler unguarded), so a simulation
-without a profiler pays one attribute test per hook site.
+On entry it patches ``Simulator.call_at`` and the hot methods listed in
+:data:`repro.profile.profiler.SPANS`; on exit it restores every
+original.  The simulation packages hold no profiler reference at all
+(reprolint REP007 keeps them from importing this package), so a run
+without a profiler pays nothing.
 
 The CLI (``python -m repro.profile``) adds ``top`` (profile a canned
 workload and print the hottest handlers) plus the benchmark-history

@@ -245,13 +245,14 @@ def _profiled_workload(args: argparse.Namespace) -> Profiler:
     from repro.netsim.engine import Simulator
     from repro.netsim.paths import wired_path
 
-    prof = Profiler(label=f"top:{args.scheme}", memory=args.memory)
-    sim = Simulator(seed=args.seed, profiler=prof)
-    path = wired_path(sim, args.rate_mbps * 1e6, args.rtt_ms / 1e3)
-    conn = make_connection(sim, args.scheme, initial_rtt_s=args.rtt_ms / 1e3)
-    conn.wire(path.forward, path.reverse)
-    conn.start_bulk()
-    sim.run(until=args.duration_s)
+    with Profiler(label=f"top:{args.scheme}", memory=args.memory) as prof:
+        sim = Simulator(seed=args.seed)
+        path = wired_path(sim, args.rate_mbps * 1e6, args.rtt_ms / 1e3)
+        conn = make_connection(sim, args.scheme,
+                               initial_rtt_s=args.rtt_ms / 1e3)
+        conn.wire(path.forward, path.reverse)
+        conn.start_bulk()
+        sim.run(until=args.duration_s)
     return prof
 
 
@@ -271,7 +272,6 @@ def cmd_top(args: argparse.Namespace) -> int:
             os.makedirs(parent, exist_ok=True)
         n = prof.write_collapsed(args.flamegraph)
         print(f"flamegraph: {args.flamegraph} ({n} stacks)")
-    prof.close()
     return 0
 
 

@@ -1,21 +1,23 @@
 """The :class:`Profiler`: wall-CPU accounting for a running simulation.
 
 All wall-clock reads live *here*, on the host side of the fence.  The
-instrumented simulation modules only hold an optional reference and
-call the hook methods behind ``if ... is not None`` guards (or bind
-:meth:`wrap`-ped methods at construction time); they never import this
-package — reprolint REP007 enforces both halves of that contract.
+simulation modules know nothing about profiling: the profiler attaches
+from outside, the way :class:`cProfile.Profile` does, by patching
+classes for the duration of a ``with`` block and restoring every
+original on exit (reprolint REP007 keeps sim code from importing this
+package or growing a profiler hook again).
 
 Two kinds of accounting share one frame stack:
 
-* **engine events** — :meth:`event_begin` / :meth:`event_end` around
-  each fired callback give per-handler-class inclusive latency
+* **engine events** — :meth:`Simulator.call_at` is wrapped so every
+  callback scheduled inside the block runs in an ``Owner.method``
+  event frame.  This gives per-handler-class inclusive latency
   histograms (percentiles via :func:`repro.stats.percentile`), the
   events/second rate, and the calendar-queue high-water mark;
-* **subsystem spans** — :meth:`wrap` re-binds a hot method (sender
-  feedback path, receiver ingress, congestion-controller update, ACK
-  policy) so its wall time is attributed to a named span, nested under
-  whatever engine handler fired it.
+* **subsystem spans** — the hot methods listed in :data:`SPANS`
+  (sender feedback path, receiver ingress, congestion-controller
+  update, ACK policy) are wrapped at class level so their wall time is
+  attributed to a named span, nested under whatever event fired it.
 
 Because spans nest inside events on one stack, exclusive ("self") time
 is exact: a parent's self time never double-counts its children, and
@@ -26,6 +28,7 @@ as collapsed stacks for standard flamegraph tooling.
 from __future__ import annotations
 
 import functools
+import importlib
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -33,6 +36,22 @@ _perf = time.perf_counter
 
 #: Latency samples kept per handler class before decimation kicks in.
 _MAX_SAMPLES = 1 << 16
+
+#: The subsystem spans: ``(module, class, method, span name)``.  The
+#: method is wrapped on the class and on every subclass that overrides
+#: it.  ``{name}`` in a span name is the instance's ``name`` attribute
+#: at call time: the controller's or the ACK policy's own name.
+SPANS = (
+    ("repro.transport.sender", "TransportSender", "_on_feedback",
+     "sender.feedback"),
+    ("repro.transport.sender", "TransportSender", "_try_send",
+     "sender.try_send"),
+    ("repro.transport.receiver", "TransportReceiver", "on_packet",
+     "receiver.packet"),
+    ("repro.cc", "CongestionController", "on_feedback", "cc.{name}"),
+    ("repro.ack", "AckPolicy", "on_data", "ack.{name}.on_data"),
+    ("repro.ack", "AckPolicy", "on_gap", "ack.{name}.on_gap"),
+)
 
 
 class _Agg:
@@ -94,6 +113,14 @@ def _classify(fn: Callable) -> str:
     return getattr(fn, "__qualname__", None) or type(fn).__name__
 
 
+def _class_tree(base: type) -> List[type]:
+    """*base* and every subclass defined so far."""
+    tree = [base]
+    for cls in tree:
+        tree.extend(cls.__subclasses__())
+    return tree
+
+
 def _safe_frame(name: str) -> str:
     """Collapsed-stack frames may not contain ';' or whitespace."""
     return (name.replace(";", ":").replace(" ", "_")
@@ -101,16 +128,18 @@ def _safe_frame(name: str) -> str:
 
 
 class Profiler:
-    """Accumulates wall-CPU accounting for one (or more) simulations.
+    """Accumulates wall-CPU accounting for the simulations built and
+    run inside its ``with`` block (callbacks scheduled before it are
+    not timed).
 
     Parameters
     ----------
     label:
         Free-form run label stored in the report metadata.
     memory:
-        Start :mod:`tracemalloc` at attach time and include a heap
-        snapshot (current/peak bytes plus the top allocation sites) in
-        the report.  Costs real overhead; off by default.
+        Start :mod:`tracemalloc` on entry and include a heap snapshot
+        (current/peak bytes plus the top allocation sites) in the
+        report.  Costs real overhead; off by default.
     histogram:
         Keep per-handler latency samples for percentile computation.
         Disabling drops the per-event list append, for minimum-
@@ -128,26 +157,44 @@ class Profiler:
         self.events_fired = 0
         self.dispatch_s = 0.0          # wall time inside event callbacks
         self.queue_high_water = 0
-        self._sim_now: Optional[Callable[[], float]] = None
         self._sim_t0: Optional[float] = None
         self._sim_t1: Optional[float] = None
         self._memory = memory
         self._mem_started = False
         self._mem_stats: Optional[Dict[str, Any]] = None
+        self._patches: List[Tuple[type, str, Any]] = []
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def attach(self, sim) -> "Profiler":
-        """Bind to a simulator (sim-clock source for the report's
-        simulated-seconds-per-wall-second figure)."""
-        self._sim_now = sim.clock.now
+    def __enter__(self) -> "Profiler":
+        if self._patches:
+            raise RuntimeError("profiler is already enabled")
+        from repro.netsim.engine import Simulator
+        self._patch(Simulator, "call_at", self._timed_call_at)
+        for module, base, method, name in SPANS:
+            for cls in _class_tree(
+                    getattr(importlib.import_module(module), base)):
+                if method in vars(cls):
+                    self._patch(cls, method, self._timed_method, method, name)
         if self._memory and not self._mem_started:
             import tracemalloc
             if not tracemalloc.is_tracing():
                 tracemalloc.start()
                 self._mem_started = True
         return self
+
+    def __exit__(self, *exc_info) -> None:
+        while self._patches:
+            cls, method, original = self._patches.pop()
+            setattr(cls, method, original)
+        self.close()
+
+    def _patch(self, cls: type, method: str,
+               make_wrapper: Callable[..., Callable], *args: Any) -> None:
+        original = vars(cls)[method]
+        self._patches.append((cls, method, original))
+        setattr(cls, method, make_wrapper(original, *args))
 
     def close(self) -> None:
         """Snapshot and stop memory tracing, if this profiler owns it."""
@@ -172,30 +219,70 @@ class Profiler:
         }
 
     # ------------------------------------------------------------------
-    # hooks (called from instrumented sim code, always behind a guard)
+    # wrappers
     # ------------------------------------------------------------------
-    def event_begin(self, fn: Callable, queue_depth: int) -> None:
-        """The engine is about to fire *fn*; stack depth must return to
-        its current level via exactly one :meth:`event_end`."""
-        if queue_depth > self.queue_high_water:
-            self.queue_high_water = queue_depth
-        self._push("event", _classify(fn))
-        if self._sim_t0 is None and self._sim_now is not None:
-            self._sim_t0 = self._sim_now()
+    def _timed_call_at(self, call_at: Callable) -> Callable:
+        """``Simulator.call_at`` scheduling a timed event instead."""
+        fire = self._fire
 
-    def event_end(self) -> None:
-        self._pop()
-        self.events_fired += 1
-        if self._sim_now is not None:
-            self._sim_t1 = self._sim_now()
+        @functools.wraps(call_at)
+        def timed_call_at(sim, t, fn):
+            if type(sim).call_at is timed_call_at:  # else: block exited
+                fn = functools.partial(fire, sim, fn)
+            return call_at(sim, t, fn)
+        return timed_call_at
+
+    def _fire(self, sim, fn: Callable) -> None:
+        """Run *fn* in an event frame named after its handler class."""
+        if not self._patches:          # the block has exited
+            fn()
+            return
+        depth = len(sim._queue)        # this event is already popped
+        if depth > self.queue_high_water:
+            self.queue_high_water = depth
+        self._push("event", _classify(fn))
+        if self._sim_t0 is None:
+            self._sim_t0 = sim.clock.now()
+        try:
+            fn()
+        finally:
+            self._pop()
+            self.events_fired += 1
+            self._sim_t1 = sim.clock.now()
+
+    def _timed_method(self, original: Callable, method: str,
+                      name: str) -> Callable:
+        """Class-level wrapper timing *original* as span *name*.
+
+        Only the wrapper the instance's class resolves *method* to
+        times the call, so a ``super()`` chain is one span and a bound
+        method kept after the block exits runs the original untimed.
+        """
+        push, pop = self._push, self._pop
+        per_instance = "{name}" in name
+        # Formatting and hashing a fresh name on every call would cost
+        # more than the span itself; keep one string per name.
+        names: Dict[str, str] = {}
+
+        @functools.wraps(original)
+        def timed(obj, *args, **kwargs):
+            if getattr(type(obj), method) is not timed:
+                return original(obj, *args, **kwargs)
+            span = name
+            if per_instance:
+                span = names.get(obj.name)
+                if span is None:
+                    span = names[obj.name] = name.format(name=obj.name)
+            push("span", span)
+            try:
+                return original(obj, *args, **kwargs)
+            finally:
+                pop()
+        return timed
 
     def wrap(self, name: str, fn: Callable) -> Callable:
-        """Return *fn* wrapped in a named subsystem span.
-
-        Meant for construction-time method re-binding
-        (``self.method = prof.wrap("span", self.method)``) so the hot
-        path carries zero profiling branches when disabled.
-        """
+        """Return *fn* wrapped in a span called *name* (an ad-hoc span
+        around host code that :data:`SPANS` does not cover)."""
         @functools.wraps(fn)
         def profiled(*args, **kwargs):
             self._push("span", name)

@@ -125,12 +125,6 @@ class TransportReceiver:
         # feedback packets' airtime/energy is billed at the link).
         self._en = getattr(sim, "energy", None)
         policy.attach(self)
-        # profiling: construction-time re-binding (see the sender); the
-        # ACK policy binds its own spans through attach_profiler.
-        prof = getattr(sim, "profiler", None)
-        if prof is not None:
-            self.on_packet = prof.wrap("receiver.packet", self.on_packet)
-            policy.attach_profiler(prof)
 
     # ------------------------------------------------------------------
     # wiring

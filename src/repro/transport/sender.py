@@ -228,13 +228,6 @@ class TransportSender:
         self._en = getattr(sim, "energy", None)
         if self._en is not None:
             self._en.flow_opened(flow_id)
-        # profiling: construction-time re-binding keeps the hot paths
-        # free of profiling branches when no profiler is attached.
-        prof = getattr(sim, "profiler", None)
-        if prof is not None:
-            self._on_feedback = prof.wrap("sender.feedback", self._on_feedback)
-            self._try_send = prof.wrap("sender.try_send", self._try_send)
-            cc.attach_profiler(prof)
 
     def _obs(self, name: str, **fields) -> None:
         """One diagnosis-vocabulary ``transport`` event, mirrored to

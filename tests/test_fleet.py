@@ -246,6 +246,21 @@ class TestCampaign:
         assert by_scheme["tcp-tack"].shards == 2
         assert len(aggregate_digest(by_scheme)) == 64
 
+class TestCli:
+    def test_run_json_also_saves_report(self, tmp_path, capsys):
+        from repro.fleet.cli import main
+        saved = tmp_path / "reports" / "fleet.json"
+        assert main(["run", "--out", str(tmp_path / "campaign"),
+                     "--schemes", "tcp-tack", "--shards", "1",
+                     "--arrival-hz", "3", "--duration", "4",
+                     "--size-median", "20000", "--size-sigma", "0.8",
+                     "--drain", "5", "--quiet",
+                     "--json", "--save", str(saved)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert json.loads(saved.read_text()) == printed
+        assert printed["missing_shards"] == []
+
+
 # ----------------------------------------------------------------------
 # flow-doctor fold
 # ----------------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""repro.profile: the profiler, engine/endpoint instrumentation,
-collapsed-stack export, campaign integration, and the `top` CLI."""
+"""repro.profile: the profiler, its outside-in instrumentation of the
+engine and endpoints, collapsed-stack export, and the `top` CLI."""
 
+import importlib
 import json
-import os
 
 import pytest
 
+from repro.ack.base import AckPolicy
 from repro.core.flavors import make_connection
 from repro.netsim.engine import Simulator
 from repro.netsim.paths import wired_path
@@ -17,18 +18,25 @@ from repro.profile import (
     top_handlers,
     top_spans,
 )
-from repro.profile.cli import main
+from repro.profile.cli import _profiled_workload, build_parser, main
+from repro.profile.profiler import SPANS, _class_tree
+from repro.transport.receiver import TransportReceiver
 
 
-def profiled_connection_second(scheme="tcp-tack", duration_s=0.25,
-                               **prof_kwargs):
-    prof = Profiler(**prof_kwargs)
-    sim = Simulator(seed=1, profiler=prof)
+def connection_second(scheme="tcp-tack", duration_s=0.25):
+    sim = Simulator(seed=1)
     path = wired_path(sim, 50e6, 0.04)
     conn = make_connection(sim, scheme, initial_rtt_s=0.04)
     conn.wire(path.forward, path.reverse)
     conn.start_bulk()
     sim.run(until=duration_s)
+    return conn
+
+
+def profiled_connection_second(scheme="tcp-tack", duration_s=0.25,
+                               **prof_kwargs):
+    with Profiler(**prof_kwargs) as prof:
+        conn = connection_second(scheme, duration_s)
     return prof, conn
 
 
@@ -111,40 +119,181 @@ class TestEngineInstrumentation:
         assert any(s.startswith("ack.tack.") for s in spans)
 
     def test_step_loop_also_profiles(self):
-        prof = Profiler()
-        sim = Simulator(seed=1, profiler=prof)
-        sim.call_in(0.01, lambda: None)
-        sim.call_in(0.02, lambda: None)
-        while sim.step():
-            pass
+        with Profiler() as prof:
+            sim = Simulator(seed=1)
+            sim.call_in(0.01, lambda: None)
+            sim.call_in(0.02, lambda: None)
+            while sim.step():
+                pass
         assert prof.events_fired == 2
 
-    def test_attach_profiler_is_explicit_alternative(self):
+    def test_only_events_scheduled_inside_the_block_are_timed(self):
         sim = Simulator(seed=1)
-        prof = sim.attach_profiler(Profiler())
-        assert sim.profiler is prof
-        sim.call_in(0.01, lambda: None)
+        sim.call_in(0.01, lambda: None)          # before the block
+        with Profiler() as prof:
+            sim.call_in(0.02, lambda: None)
+            sim.call_in(0.03, lambda: None)      # fires after exit
+            sim.run(until=0.025)
         sim.run()
+        assert sim.events_fired == 3
         assert prof.events_fired == 1
 
     def test_profiling_does_not_perturb_simulation(self):
         prof, conn = profiled_connection_second()
-        sim2 = Simulator(seed=1)
-        path2 = wired_path(sim2, 50e6, 0.04)
-        conn2 = make_connection(sim2, "tcp-tack", initial_rtt_s=0.04)
-        conn2.wire(path2.forward, path2.reverse)
-        conn2.start_bulk()
-        sim2.run(until=0.25)
+        conn2 = connection_second()
         assert (conn.receiver.stats.bytes_delivered
                 == conn2.receiver.stats.bytes_delivered)
 
-    def test_disabled_mode_leaves_methods_unbound(self):
-        sim = Simulator(seed=1)
-        assert sim.profiler is None
-        conn = make_connection(sim, "tcp-tack")
+    def test_without_profiler_methods_are_the_originals(self):
+        conn = make_connection(Simulator(seed=1), "tcp-tack")
         bound = conn.receiver.on_packet
-        assert getattr(bound, "__func__", None) is type(
-            conn.receiver).on_packet
+        assert bound.__func__ is TransportReceiver.__dict__["on_packet"]
+        assert not hasattr(Simulator.call_at, "__wrapped__")
+
+    def test_exit_restores_every_patched_attribute(self):
+        patched = [(Simulator, "call_at")] + [
+            (cls, method) for module, base, method, _ in SPANS
+            for cls in _class_tree(
+                getattr(importlib.import_module(module), base))
+            if method in vars(cls)]
+        before = [vars(cls)[method] for cls, method in patched]
+        with Profiler() as prof:
+            inside = [vars(cls)[method] for cls, method in patched]
+        after = [vars(cls)[method] for cls, method in patched]
+        assert all(i is not b for i, b in zip(inside, before))
+        assert all(a is b for a, b in zip(after, before))
+
+        # A simulation built afterwards runs unwrapped.
+        sim = Simulator(seed=1)
+
+        def callback():
+            pass
+
+        assert sim.call_in(0.01, callback).fn is callback
+        conn = connection_second()
+        assert (conn.receiver.on_packet.__func__
+                is TransportReceiver.__dict__["on_packet"])
+        assert conn.receiver.stats.bytes_delivered > 0
+        assert prof.events_fired == 0 and prof._spans == {}
+
+    def test_wrapper_captured_in_block_falls_through_after_exit(self):
+        with Profiler() as prof:
+            sim = Simulator(seed=1)
+            path = wired_path(sim, 50e6, 0.04)
+            conn = make_connection(sim, "tcp-tack", initial_rtt_s=0.04)
+            conn.wire(path.forward, path.reverse)  # links keep on_packet
+            on_packet = conn.receiver.on_packet
+        assert (on_packet.__func__
+                is not TransportReceiver.__dict__["on_packet"])
+        conn.start_bulk()
+        sim.run(until=0.25)
+        assert conn.receiver.stats.bytes_delivered > 0
+        assert prof.events_fired == 0
+        assert prof._spans == {}
+
+    def test_super_chain_is_one_span(self):
+        class Chained(AckPolicy):
+            name = "chained"
+
+            def on_data(self, packet, in_order):
+                super().on_data(packet, in_order)
+
+        with Profiler() as prof:
+            Chained().on_data(None, True)
+            AckPolicy().on_data(None, True)
+        assert {name: agg.count for name, agg in prof._spans.items()} == {
+            "ack.chained.on_data": 1, "ack.none.on_data": 1}
+
+
+#: Handler and span counts of the `top` canned workload (seed 1, one
+#: simulated second, 50 Mbps / 40 ms wired path), recorded when the
+#: spans were still bound by the endpoints at construction time.
+#: Moving the instrumentation outside the simulation must not change
+#: what is timed.
+TOP_GOLDEN = {
+    "tcp-tack": {
+        "events_fired": 11685,
+        "handlers": {
+            "Link._finish_transmission.<locals>.<lambda>": 3788,
+            "Link._start_transmission.<locals>.<lambda>": 3872,
+            "TackPolicy._on_timer": 91,
+            "TransportSender._on_send_timer": 3933,
+            "TransportSender._on_watchdog": 1,
+        },
+        "spans": {
+            "ack.tack.on_data": 3523,
+            "ack.tack.on_gap": 175,
+            "cc.bbr": 263,
+            "receiver.packet": 3524,
+            "sender.feedback": 263,
+            "sender.try_send": 4198,
+        },
+    },
+    "tcp-bbr": {
+        "events_fired": 15340,
+        "handlers": {
+            "Link._finish_transmission.<locals>.<lambda>": 5644,
+            "Link._start_transmission.<locals>.<lambda>": 5809,
+            "TransportSender._on_send_timer": 3886,
+            "TransportSender._on_watchdog": 1,
+        },
+        "spans": {
+            "ack.delayed.on_data": 3206,
+            "ack.delayed.on_gap": 592,
+            "cc.bbr": 2436,
+            "receiver.packet": 3207,
+            "sender.feedback": 2436,
+            "sender.try_send": 6324,
+        },
+    },
+    "tcp-cubic": {
+        "events_fired": 12865,
+        "handlers": {
+            "Link._finish_transmission.<locals>.<lambda>": 4986,
+            "Link._start_transmission.<locals>.<lambda>": 5109,
+            "TransportSender._on_send_timer": 2769,
+            "TransportSender._on_watchdog": 1,
+        },
+        "spans": {
+            "ack.delayed.on_data": 2989,
+            "ack.delayed.on_gap": 225,
+            "cc.cubic": 1995,
+            "receiver.packet": 2990,
+            "sender.feedback": 1995,
+            "sender.try_send": 4766,
+        },
+    },
+    "tcp-bbr-perpacket": {
+        "events_fired": 16543,
+        "handlers": {
+            "Link._finish_transmission.<locals>.<lambda>": 6316,
+            "Link._start_transmission.<locals>.<lambda>": 6481,
+            "TransportSender._on_send_timer": 3745,
+            "TransportSender._on_watchdog": 1,
+        },
+        "spans": {
+            "ack.per-packet.on_data": 3198,
+            "ack.per-packet.on_gap": 565,
+            "cc.bbr": 3116,
+            "receiver.packet": 3199,
+            "sender.feedback": 3116,
+            "sender.try_send": 6863,
+        },
+    },
+}
+
+
+class TestTopGolden:
+    @pytest.mark.parametrize("scheme", sorted(TOP_GOLDEN))
+    def test_top_workload_counts_match_golden(self, scheme):
+        args = build_parser().parse_args(
+            ["top", "--scheme", scheme, "--seed", "1", "--duration-s", "1"])
+        prof = _profiled_workload(args)
+        assert {
+            "events_fired": prof.events_fired,
+            "handlers": {k: v.count for k, v in prof._handlers.items()},
+            "spans": {k: v.count for k, v in prof._spans.items()},
+        } == TOP_GOLDEN[scheme]
 
 
 class TestReportAndExport:
@@ -216,61 +365,6 @@ class TestReportAndExport:
         assert report["memory"]["top"]
 
 
-class TestCampaignIntegration:
-    def test_profile_path_forwarded_and_digested(self, tmp_path):
-        from repro.bench.record import file_sha256
-        from repro.runner import Campaign
-
-        out = str(tmp_path / "task.profile.json")
-        campaign = Campaign("profiled", base_seed=7)
-        campaign.add("profiled-run", _profiled_task, profile_path=out,
-                     duration_s=0.05)
-        result = campaign.run().result("profiled-run")
-        assert result.ok
-        assert result.profile["path"] == out
-        assert result.profile["sha256"] == file_sha256(out)
-        manifest_task = [t for t in campaign.run().manifest["tasks"]
-                         if t["name"] == "profiled-run"][0]
-        assert manifest_task["profile"]["path"] == out
-
-    def test_profiled_task_bypasses_cache(self, tmp_path):
-        from repro.runner import Campaign
-
-        out = str(tmp_path / "p.json")
-        for _ in range(2):
-            campaign = Campaign("profiled", base_seed=7)
-            campaign.add("run", _profiled_task, profile_path=out,
-                         duration_s=0.05)
-            result = campaign.run(
-                cache_dir=str(tmp_path / "cache")).result("run")
-            assert result.cache == "off"  # never hit, never stored
-            assert result.ok
-
-    def test_unprofiled_tasks_unaffected(self, tmp_path):
-        from repro.runner import Campaign
-        campaign = Campaign("plain", base_seed=7)
-        campaign.add("plain", _plain_task)
-        result = campaign.run().result("plain")
-        assert result.ok and result.profile is None
-
-
-def _profiled_task(seed=0, duration_s=0.05, profile_path=None):
-    prof = Profiler(label="task")
-    sim = Simulator(seed=seed or 1, profiler=prof)
-    path = wired_path(sim, 20e6, 0.02)
-    conn = make_connection(sim, "tcp-tack", initial_rtt_s=0.02)
-    conn.wire(path.forward, path.reverse)
-    conn.start_bulk()
-    sim.run(until=duration_s)
-    if profile_path is not None:
-        prof.write_json(profile_path)
-    return conn.receiver.stats.bytes_delivered
-
-
-def _plain_task(seed=0):
-    return seed
-
-
 class TestTopCli:
     def test_top_prints_table_and_writes_artifacts(self, tmp_path, capsys):
         folded = str(tmp_path / "o.folded")
@@ -291,23 +385,18 @@ class TestTopCli:
 
 class TestQuickstartProfilingSmoke:
     def test_quickstart_runs_under_profiler(self):
-        """The profiler composes with a real example untouched: inject
-        via a Simulator factory, run the reduced quickstart workload,
-        and the profile must show the WLAN machinery doing the work."""
+        """The profiler composes with a real example untouched: run the
+        reduced quickstart workload inside the block, and the profile
+        must show the WLAN machinery doing the work."""
         from test_examples_smoke import load_example
 
         mod = load_example("quickstart.py")
         mod.DURATION_S = 0.5
         mod.WARMUP_S = 0.1
-        prof = Profiler(label="quickstart")
-        real = mod.Simulator
-        mod.Simulator = lambda **kw: real(profiler=prof, **kw)
-        try:
+        with Profiler(label="quickstart") as prof:
             result = mod.run_scheme("tcp-tack")
-        finally:
-            mod.Simulator = real
         assert result["goodput_mbps"] > 1
         assert prof.events_fired > 100
-        assert prof._spans  # transport spans got bound through BulkFlow
+        assert prof._spans  # transport spans timed through BulkFlow
         report = prof.report()
         assert report["events"]["sim_s"] == pytest.approx(0.5, rel=0.1)
