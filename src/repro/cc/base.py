@@ -83,20 +83,11 @@ class CongestionController:
         # sim-time itself, so hooks stay dependency-free.
         self._tel = None
         self._tel_flow = 0
-        # diagnosis: attached by the sender under the same pattern;
-        # the flow doctor stamps sim-time itself.
-        self._diag = None
-        self._diag_flow = 0
 
     def attach_telemetry(self, collector, flow_id: int = 0) -> None:
         """Route ``cc``-category events through *collector*."""
         self._tel = collector
         self._tel_flow = flow_id
-
-    def attach_diagnosis(self, doctor, flow_id: int = 0) -> None:
-        """Mirror diagnosis-relevant ``cc`` events to the flow doctor."""
-        self._diag = doctor
-        self._diag_flow = flow_id
 
     def _tel_emit(self, name: str, **fields) -> None:
         if self._tel is not None:

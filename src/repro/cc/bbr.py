@@ -175,16 +175,9 @@ class BBR(CongestionController):
         if state == self.state:
             return
         self.state = state
-        if self._tel is not None or self._diag is not None:
-            bw = self.bw_estimate()
-            min_rtt = self.min_rtt()
-            if self._tel is not None:
-                self._tel_emit("state", state=state, bw_bps=bw,
-                               min_rtt_s=min_rtt)
-            if self._diag is not None:
-                self._diag.observe("cc", "state", self._diag_flow,
-                                   state=state, bw_bps=bw,
-                                   min_rtt_s=min_rtt)
+        if self._tel is not None:
+            self._tel_emit("state", state=state, bw_bps=self.bw_estimate(),
+                           min_rtt_s=self.min_rtt())
 
     def _update_state(self, now: float) -> None:
         if self.state == STARTUP and self.filled_pipe:

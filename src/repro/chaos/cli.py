@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 
 from repro.chaos.runner import ChaosResult, run_scenario
 from repro.chaos.scenarios import DEFAULT_SCHEMES, SCENARIOS, get_scenario
+from repro.core.flavors import SCHEMES
 
 
 def cmd_list(args: argparse.Namespace) -> int:
@@ -77,6 +78,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
+    unknown = [s for s in schemes if s not in SCHEMES]
+    if unknown:
+        print(f"error: unknown scheme {unknown[0]!r}; have {sorted(SCHEMES)}",
+              file=sys.stderr)
+        return 2
     results: list[ChaosResult] = []
     multi = len(names) * len(schemes) > 1
     for name in names:
@@ -127,10 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_list)
 
     p = sub.add_parser("run", help="run scenarios against schemes")
-    p.add_argument("--scenario", action="append", default=None,
-                   help="scenario name (repeatable)")
-    p.add_argument("--all", action="store_true",
-                   help="run every scenario in the library")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--scenario", action="append", default=None,
+                       help="scenario name (repeatable)")
+    which.add_argument("--all", action="store_true",
+                       help="run every scenario in the library")
     p.add_argument("--scheme", action="append", default=None,
                    help=f"protocol scheme (repeatable; default "
                         f"{', '.join(DEFAULT_SCHEMES)})")

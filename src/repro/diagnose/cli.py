@@ -4,7 +4,8 @@ Subcommands::
 
     report  TRACE             per-flow state timeline + anomalies
     check   TRACE --expect S  assert the dominant diagnosis (exit 1 on
-                              mismatch) — CI-friendly
+                              mismatch) — CI-friendly; ``--max-anomalies N``
+                              bounds anomalies instead or as well
     explain A B               attribute the goodput delta between two
                               traces of the same experiment
 
@@ -85,6 +86,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    if args.expect is None and args.max_anomalies is None:
+        raise SystemExit("error: check needs --expect and/or --max-anomalies")
     report = _load_report(args.trace, args.allow_truncated)
     flows = report["flows"]
     if args.flow is not None:

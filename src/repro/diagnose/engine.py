@@ -49,12 +49,16 @@ REPORT_SCHEMA = "repro-diagnosis"
 #: (feedback-guard violations and the ACK-withholding watchdog).
 REPORT_VERSION = 2
 
-#: The diagnosis event vocabulary: exactly the events the live hooks
-#: observe.  Offline replay feeds *whole traces* through the engine,
-#: so anything outside this set (sampled per-packet sites, cc/update,
-#: rttmin_sync, netsim/chaos categories) must be dropped here — before
-#: the per-flow evidence-offset counter — or live and offline offsets
-#: would disagree.
+#: Telemetry categories that carry diagnosis vocabulary: the live
+#: doctor subscribes to exactly these.
+VOCAB_CATEGORIES = ("transport", "timing", "cc", "guard", "ack")
+
+#: The diagnosis event vocabulary.  Both the live doctor and offline
+#: replay see more than this (cc/update, rttmin_sync, transport/gap,
+#: sampled per-packet sites, netsim/chaos categories), so anything
+#: outside it must be dropped here — before the per-flow
+#: evidence-offset counter — or live and offline offsets would
+#: disagree.
 TRANSPORT_VOCAB = frozenset({
     "open", "established", "limited", "recovery", "persist", "rto",
     "feedback", "complete", "abort", "close",

@@ -1,25 +1,26 @@
-"""Live diagnosis plane: the simulator-attached flow doctor.
+"""Live diagnosis plane: the flow doctor as a trace-collector subscriber.
 
 :class:`FlowDoctor` is the only simulation-side piece of the package:
-it holds the bound simulation clock and forwards hook calls into the
-pure :class:`~repro.diagnose.engine.DiagnosisEngine`.  Components
-reach it through the ``sim.diagnosis`` slot with the same null-guard
-discipline as telemetry/energy/simsan hooks — one ``is not None``
-check per site when diagnosis is off.
+it subscribes to the simulation's
+:class:`~repro.telemetry.TraceCollector` and forwards each
+diagnosis-category event into the pure
+:class:`~repro.diagnose.engine.DiagnosisEngine`.  Components emit each
+diagnosis event once, to the collector; subscribers see every
+:meth:`~repro.telemetry.TraceCollector.emit` before the sink's
+filtering and sampling, so the doctor's input does not depend on what
+the trace keeps.
 
-The hooks sit *next to* the telemetry emits and pass the *same field
-values*, and the doctor stamps time from the same simulation clock the
-trace collector binds, so replaying the recorded trace offline through
-the same engine reproduces this doctor's report byte-for-byte
-(provided the collector did not sample away diagnosis-vocabulary
-categories — the default configuration does not).
+The doctor and the trace receive the same event object, with the time
+the collector stamped on it, so replaying an unsampled trace offline
+through the same engine reproduces this doctor's report byte-for-byte.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.diagnose.engine import DiagnosisConfig, DiagnosisEngine
+from repro.diagnose.engine import (
+    VOCAB_CATEGORIES, DiagnosisConfig, DiagnosisEngine)
 
 __all__ = ["FlowDoctor"]
 
@@ -27,10 +28,9 @@ __all__ = ["FlowDoctor"]
 class FlowDoctor:
     """Per-simulation diagnosis collector.
 
-    Create it before the endpoints, attach with
-    ``sim.attach_diagnosis(doctor)`` (or the ``diagnosis=`` constructor
-    argument of :class:`~repro.netsim.engine.Simulator`), and read the
-    report after the run::
+    Pass it as the ``diagnosis=`` argument of
+    :class:`~repro.netsim.engine.Simulator`, which subscribes it to the
+    simulation's trace collector, and read the report after the run::
 
         doctor = FlowDoctor()
         sim = Simulator(seed=1, diagnosis=doctor)
@@ -41,17 +41,16 @@ class FlowDoctor:
 
     def __init__(self, config: Optional[DiagnosisConfig] = None):
         self.engine = DiagnosisEngine(config)
-        self._now = None
 
-    def attach(self, sim) -> "FlowDoctor":
-        """Bind the simulation clock; called by ``attach_diagnosis``."""
-        self._now = sim.clock.now
+    def attach(self, collector) -> "FlowDoctor":
+        """Subscribe to *collector*'s diagnosis categories."""
+        collector.subscribe(self.observe, VOCAB_CATEGORIES)
         return self
 
-    # -- hook entry point (hot-ish path; one call per diagnosis event)
-    def observe(self, category: str, name: str, flow_id: int = 0,
-                **fields: Any) -> None:
-        self.engine.observe(self._now(), category, name, flow_id, fields)
+    # -- subscriber entry point (one call per emitted event) ----------
+    def observe(self, event) -> None:
+        self.engine.observe(event.time, event.category, event.name,
+                            event.flow_id, event.fields)
 
     # -- extraction ---------------------------------------------------
     def finalize(self, end_s: Optional[float] = None) -> None:

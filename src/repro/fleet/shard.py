@@ -101,9 +101,11 @@ class _ShardRun:
         # flows fold into ExactSum partials, so the summary merges
         # bit-identically in any shard order.
         self.energy = EnergyLedger(phy=spec.phy, power=spec.power)
-        # Flow doctor rides the same pattern: attached before endpoints
-        # (they cache sim.diagnosis at construction), retired flows
-        # fold into ExactSum state-time partials at _retire so doctor
+        # Flow doctor: with no trace collector passed, the simulator
+        # subscribes it to a collector whose sink keeps nothing, so
+        # endpoints emit diagnosis events to the doctor alone and
+        # every per-packet trace site stays off.  Retired flows fold
+        # into ExactSum state-time partials at _retire so doctor
         # memory stays flat under churn.
         self.doctor = FlowDoctor()
         self.sim = Simulator(seed=spec.seed, simsan=simsan,

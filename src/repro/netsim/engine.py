@@ -74,6 +74,11 @@ class Simulator:
         airtime and radio power states into per-flow joule accounts.
         Same construction-order rule: links/endpoints cache
         ``sim.energy`` at build time.
+    diagnosis:
+        Optional :class:`repro.diagnose.FlowDoctor`.  It subscribes to
+        the *telemetry* collector; without one, the simulator makes a
+        collector whose sink keeps nothing, so only the doctor sees
+        events and every per-packet trace site stays off.
 
     Host-side profiling needs no parameter: build and run the
     simulation inside a ``with Profiler():`` block
@@ -90,15 +95,17 @@ class Simulator:
         self._events_fired = 0
         self.san = (sanitize.SimSanitizer(self)
                     if sanitize.resolve(simsan) else None)
+        if diagnosis is not None:
+            if telemetry is None:
+                # Imported here: simulations without a doctor never load
+                # the telemetry package.
+                from repro.telemetry.collector import TraceCollector
+                telemetry = TraceCollector(categories=())
+            diagnosis.attach(telemetry)
         self.telemetry = None
         if telemetry is not None:
             self.attach_telemetry(telemetry)
-        self.energy = None
-        if energy is not None:
-            self.attach_energy(energy)
-        self.diagnosis = None
-        if diagnosis is not None:
-            self.attach_diagnosis(diagnosis)
+        self.energy = energy.attach(self) if energy is not None else None
 
     def enable_sanitizer(self) -> "sanitize.SimSanitizer":
         """Attach (or return the already-attached) invariant sanitizer.
@@ -119,28 +126,6 @@ class Simulator:
         """
         self.telemetry = collector.attach(self)
         return self.telemetry
-
-    def attach_energy(self, ledger):
-        """Attach a per-flow energy/airtime ledger (``repro.energy``).
-
-        Binds the ledger to this simulator's virtual clock (it bounds
-        each flow's idle-energy window).  Must be called before links
-        and endpoints are constructed — they cache ``sim.energy`` at
-        build time (same rule as telemetry).
-        """
-        self.energy = ledger.attach(self)
-        return self.energy
-
-    def attach_diagnosis(self, doctor):
-        """Attach a live flow doctor (``repro.diagnose``).
-
-        Binds the doctor to this simulator's virtual clock so its
-        observations are stamped identically to trace events.  Must be
-        called before endpoints are constructed — they cache
-        ``sim.diagnosis`` at build time (same rule as telemetry).
-        """
-        self.diagnosis = doctor.attach(self)
-        return self.diagnosis
 
     # ------------------------------------------------------------------
     # time

@@ -6,14 +6,22 @@ every hook site is guarded by ``if self._tel is not None``, so a
 simulation without telemetry pays one attribute test per hook.  With
 telemetry on, each hook calls :meth:`TraceCollector.emit`, which
 
-1. drops the event if its category is filtered out,
+1. drops the event from the sink if its category is filtered out,
 2. applies deterministic per-category sampling (keep 1 in N, counted
    per category — no RNG involved, so a given run always keeps the
    same events),
 3. stamps the current *simulated* time (the collector caches
    ``sim.clock.now`` at attach time; it never reads the wall clock),
-4. appends the event to the sink and notifies live listeners (e.g. a
-   :class:`~repro.telemetry.metrics.MetricsRegistry`).
+4. appends a kept event to the sink and notifies live *listeners*
+   (e.g. a :class:`~repro.telemetry.metrics.MetricsRegistry`), which
+   see exactly what the sink keeps,
+5. hands the event, kept or not, to every *subscriber* of its
+   category (e.g. a :class:`~repro.diagnose.live.FlowDoctor`), which
+   sees every emitted event whatever the filtering and sampling.
+
+Per-packet sites use :meth:`TraceCollector.sampling_stride` and
+:meth:`TraceCollector.emit_kept` instead; they feed the sink (and its
+listeners) only, never subscribers.
 
 Usage::
 
@@ -66,6 +74,7 @@ class TraceCollector:
             if step is not None and step > 1}
         self._now: Optional[Callable[[], float]] = None
         self._listeners: List[Callable[[TraceEvent], None]] = []
+        self._subscribers: Dict[str, List[Callable[[TraceEvent], None]]] = {}
         self.events_emitted = 0
         self.events_dropped = 0
 
@@ -115,6 +124,17 @@ class TraceCollector:
         """Register a live consumer called for every kept event."""
         self._listeners.append(fn)
 
+    def subscribe(self, fn: Callable[[TraceEvent], None],
+                  categories: Iterable[str]) -> None:
+        """Call *fn* with every event :meth:`emit` builds in *categories*.
+
+        Unlike a listener, a subscriber sees events the sink filters or
+        samples away; the sink's keep decisions and per-site strides do
+        not change, so subscribing leaves the trace bytes as they were.
+        """
+        for category in categories:
+            self._subscribers.setdefault(category, []).append(fn)
+
     # ------------------------------------------------------------------
     def gate(self, category: str) -> bool:
         """Keep/drop decision for the next *category* event.
@@ -157,10 +177,23 @@ class TraceCollector:
 
     def emit(self, category: str, name: str, flow_id: int = 0,
              **fields) -> Optional[TraceEvent]:
-        """Record one event; returns it, or ``None`` if filtered."""
-        if not self.gate(category):
+        """Record one event; returns it, or ``None`` if the sink drops it.
+
+        Subscribers of *category* receive the event either way.
+        """
+        subscribers = self._subscribers.get(category)
+        kept = self.gate(category)
+        if kept:
+            event = self.emit_kept(category, name, flow_id, **fields)
+        elif subscribers is None:
             return None
-        return self.emit_kept(category, name, flow_id, **fields)
+        else:
+            t = self._now() if self._now is not None else 0.0
+            event = TraceEvent(t, category, name, flow_id, fields)
+        if subscribers is not None:
+            for fn in subscribers:
+                fn(event)
+        return event if kept else None
 
     # ------------------------------------------------------------------
     def events(self) -> List[TraceEvent]:

@@ -117,10 +117,6 @@ class TransportReceiver:
         self._tel_stride = (self._tel.sampling_stride("transport")
                             if self._tel is not None else 0)
         self._tel_n = 0
-        # diagnosis: the flow doctor counts emitted feedback (the
-        # denominator side of the rho' ground truth) from the same
-        # site the `ack` trace events come from.
-        self._diag = getattr(sim, "diagnosis", None)
         # energy ledger: counts offered feedback bytes per flow (the
         # feedback packets' airtime/energy is billed at the link).
         self._en = getattr(sim, "energy", None)
@@ -395,11 +391,6 @@ class TransportReceiver:
                            reason=fb.reason, cum_ack=fb.cum_ack,
                            sack=len(fb.sack_blocks),
                            unacked=len(fb.unacked_blocks), size=pkt.size)
-        if self._diag is not None:
-            self._diag.observe("ack", kind.value, self.flow_id,
-                               reason=fb.reason, cum_ack=fb.cum_ack,
-                               sack=len(fb.sack_blocks),
-                               unacked=len(fb.unacked_blocks), size=pkt.size)
         if self._en is not None:
             self._en.on_feedback_emitted(self.flow_id, pkt.size)
         if self._port.send(pkt) is False:

@@ -209,16 +209,10 @@ class TransportSender:
         self._tel_n = 0
         if self._tel is not None:
             cc.attach_telemetry(self._tel, flow_id)
-        # diagnosis: the live flow doctor observes the same event
-        # vocabulary the telemetry trace records, with the same values
-        # and the same clock, so the offline replay of a trace is
-        # byte-identical to the live report.  Null-guarded like every
-        # other hook; the change-tracking state below is maintained
-        # unconditionally (it is a handful of comparisons) so the two
-        # planes never disagree about *when* an event fires.
-        self._diag = getattr(sim, "diagnosis", None)
-        if self._diag is not None:
-            cc.attach_diagnosis(self._diag, flow_id)
+        # diagnosis-vocabulary change tracking (send limit, recovery
+        # mode): a handful of comparisons, kept whether or not anyone
+        # listens so a trace and a live flow doctor always agree about
+        # *when* an event fires.
         self._limit: Optional[str] = None       # last emitted send-limit
         self._recovery_mode = "none"            # none | rto | pull
         self._recovery_high = 0                 # recovery point (next_seq)
@@ -230,22 +224,16 @@ class TransportSender:
             self._en.flow_opened(flow_id)
 
     def _obs(self, name: str, **fields) -> None:
-        """One diagnosis-vocabulary ``transport`` event, mirrored to
-        the telemetry trace and the live flow doctor with identical
-        values (the identity that makes offline replay byte-equal)."""
+        """One diagnosis-vocabulary ``transport`` event (the collector
+        hands it to the trace and to a subscribed flow doctor)."""
         if self._tel is not None:
             self._tel.emit("transport", name, self.flow_id, **fields)
-        if self._diag is not None:
-            self._diag.observe("transport", name, self.flow_id, **fields)
 
     def _obs_guard(self, name: str, **fields) -> None:
-        """One ``guard`` event, mirrored to telemetry and the live flow
-        doctor like :meth:`_obs` (rate limiting happens upstream in the
-        validator, identically for both planes)."""
+        """One ``guard`` event, like :meth:`_obs` (rate limiting
+        happens upstream in the validator)."""
         if self._tel is not None:
             self._tel.emit("guard", name, self.flow_id, **fields)
-        if self._diag is not None:
-            self._diag.observe("guard", name, self.flow_id, **fields)
 
     def _note_recovery(self, mode: str) -> None:
         """Track the loss-recovery mode; emits only on change."""
@@ -655,18 +643,11 @@ class TransportSender:
         self._obs_rtt(sample)
 
     def _obs_rtt(self, sample: float) -> None:
-        """Emit one ``timing``/``rtt_sample`` event to the telemetry
-        trace and the live flow doctor (null-guarded internally)."""
-        if self._tel is None and self._diag is None:
-            return
-        srtt = self.rtt.smoothed()
-        rtt_min = self.current_rtt_min()
+        """Emit one ``timing``/``rtt_sample`` event (null-guarded)."""
         if self._tel is not None:
             self._tel.emit("timing", "rtt_sample", self.flow_id,
-                           rtt_s=sample, srtt_s=srtt, rtt_min_s=rtt_min)
-        if self._diag is not None:
-            self._diag.observe("timing", "rtt_sample", self.flow_id,
-                               rtt_s=sample, srtt_s=srtt, rtt_min_s=rtt_min)
+                           rtt_s=sample, srtt_s=self.rtt.smoothed(),
+                           rtt_min_s=self.current_rtt_min())
 
     def _legacy_rate_sample(self, rec: SendRecord, now: float) -> Optional[float]:
         """BBR-style delivery-rate sample from a newly acked record."""

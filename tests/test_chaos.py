@@ -158,3 +158,14 @@ class TestCli:
     def test_unknown_scenario_is_usage_error(self, capsys):
         from repro.chaos.cli import main
         assert main(["run", "--scenario", "nope"]) == 2
+
+    def test_unknown_scheme_is_usage_error(self, capsys):
+        from repro.chaos.cli import main
+        assert main(["run", "--scenario", "blackout",
+                     "--scheme", "tcp-nope"]) == 2
+        assert "unknown scheme 'tcp-nope'" in capsys.readouterr().err
+
+    def test_all_with_scenario_is_usage_error(self, capsys):
+        from repro.chaos.cli import main
+        assert main(["run", "--all", "--scenario", "blackout"]) == 2
+        assert "not allowed with" in capsys.readouterr().err

@@ -350,3 +350,13 @@ class TestCli:
     def test_missing_trace_is_usage_error(self, capsys):
         assert diagnose_main(["report", "/nonexistent/trace.jsonl"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_check_without_criterion_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "t.jsonl"
+        collector = TraceCollector(JsonlSink(str(path)))
+        collector.emit("transport", "open", 0, total_bytes=MSS)
+        collector.emit("transport", "close", 0)
+        collector.close()
+        assert diagnose_main(["check", str(path)]) == 2
+        assert "--expect" in capsys.readouterr().err
+        assert diagnose_main(["check", str(path), "--max-anomalies", "0"]) == 0

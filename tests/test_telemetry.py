@@ -72,6 +72,22 @@ class TestCollector:
         collector.emit("cc", "update", 1, cwnd_bytes=10)
         assert len(seen) == 1 and seen[0].fields["cwnd_bytes"] == 10
 
+    def test_subscriber_sees_events_the_sink_drops(self):
+        subscribed, listened = [], []
+        collector = TraceCollector(categories=["ack", "cc"],
+                                   sampling={"ack": 2})
+        collector.subscribe(subscribed.append, ["ack", "timing"])
+        collector.add_listener(listened.append)
+        kept = [collector.emit("ack", "tack", i) for i in range(4)]
+        collector.emit("timing", "rtt_sample", 9, rtt_s=0.1)
+        collector.emit("cc", "update")
+        assert [e.flow_id for e in subscribed] == [0, 1, 2, 3, 9]
+        assert [e.flow_id for e in collector.events()] == [0, 2, 0]
+        assert listened == collector.events()
+        # a kept event reaches sink and subscriber as one object
+        assert subscribed[0] is kept[0] is collector.events()[0]
+        assert kept[1] is None
+
     def test_unattached_collector_stamps_zero(self):
         collector = TraceCollector()
         assert collector.emit("cc", "update").time == 0.0

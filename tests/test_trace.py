@@ -1,112 +1,41 @@
-"""Tests for the packet tap / tracing helpers."""
+"""Link-level traffic seen through the ``netsim`` telemetry events."""
 
-import pytest
+from repro.netsim.engine import Simulator
+from repro.netsim.packet import PacketType
+from repro.telemetry import TraceCollector
 
-from repro.netsim.packet import PacketType, make_ack_packet, make_data_packet
-from repro.netsim.pipe import Pipe
-from repro.netsim.trace import Tap, make_tap
+from conftest import build_wired_connection
 
 
-class TestTap:
-    def test_factory_returns_tap(self, sim):
-        assert isinstance(make_tap(sim), Tap)
+def delivered(collector, link, kind):
+    return sum(1 for e in collector.events()
+               if e.category == "netsim" and e.name == "delivered"
+               and e.fields["link"] == link and e.fields["kind"] == kind)
 
-    def test_records_and_forwards(self, sim):
-        got = []
-        tap = make_tap(sim, sink=got.append)
-        pipe = Pipe(sim, 0.01, sink=tap)
-        pipe.send(make_data_packet(0, 1))
-        sim.run()
-        assert len(got) == 1
-        assert tap.count() == 1
-        assert tap.records[0].time == pytest.approx(0.01)
 
-    def test_counts_by_kind(self, sim):
-        tap = make_tap(sim)
-        tap(make_data_packet(0, 1))
-        tap(make_ack_packet())
-        tap(make_ack_packet(kind=PacketType.TACK))
-        tap(make_ack_packet(kind=PacketType.IACK))
-        assert tap.count(PacketType.DATA) == 1
-        assert tap.count_acks() == 3
-        assert tap.count() == 4
-
-    def test_bytes_and_rate(self, sim):
-        tap = make_tap(sim)
-        sim.call_in(1.0, lambda: tap(make_data_packet(0, 1)))
-        sim.run()
-        assert tap.bytes_seen() == 1518
-        assert tap.bytes_seen(PacketType.ACK) == 0
-        assert tap.rate_bps(start_s=0.0, end_s=2.0) == pytest.approx(1518 * 8 / 2.0)
-
-    def test_rate_window_filters(self, sim):
-        tap = make_tap(sim)
-        sim.call_in(1.0, lambda: tap(make_data_packet(0, 1)))
-        sim.call_in(5.0, lambda: tap(make_data_packet(1500, 2)))
-        sim.run()
-        only_first = tap.rate_bps(start_s=0.0, end_s=2.0)
-        assert only_first == pytest.approx(1518 * 8 / 2.0)
-
-    def test_zero_duration_rate(self, sim):
-        tap = make_tap(sim)
-        assert tap.rate_bps(start_s=1.0, end_s=1.0) == 0.0
-
-    def test_clear(self, sim):
-        tap = make_tap(sim)
-        tap(make_data_packet(0, 1))
-        tap.clear()
-        assert tap.count() == 0
-
-    def test_tap_without_sink(self, sim):
-        tap = make_tap(sim)
-        tap(make_data_packet(0, 1))  # must not raise
-        assert tap.count() == 1
-
-    def test_max_records_bounds_memory(self, sim):
-        tap = make_tap(sim, max_records=3)
-        for i in range(10):
-            tap(make_data_packet(i * 1500, i))
-        assert len(tap.records) == 3
-        # Oldest records are evicted; the newest three survive.
-        assert [r.pkt_seq for r in tap.records] == [7, 8, 9]
-
-    def test_unbounded_by_default(self, sim):
-        tap = make_tap(sim)
-        for i in range(10):
-            tap(make_data_packet(i * 1500, i))
-        assert len(tap.records) == 10
-
-    def test_tap_forwards_to_telemetry(self, sim):
-        from repro.telemetry import TraceCollector
-        collector = TraceCollector().attach(sim)
-        tap = make_tap(sim, telemetry=collector)
-        tap(make_data_packet(0, 1))
-        events = collector.events()
-        assert len(events) == 1
-        assert events[0].category == "netsim"
-        assert events[0].name == "tap"
-
-    def test_tap_picks_up_simulator_collector(self):
-        from repro.netsim.engine import Simulator
-        from repro.telemetry import TraceCollector
-        sim = Simulator(seed=1, telemetry=TraceCollector())
-        tap = make_tap(sim)
-        tap(make_data_packet(0, 1))
-        assert len(sim.telemetry.events()) == 1
-
-    def test_tap_on_live_connection(self, sim):
-        """Tap a real connection's reverse path to count ACK flavors."""
-        import sys
-        sys.path.insert(0, "tests")
-        from conftest import build_wired_connection
-
+class TestLinkEvents:
+    def test_tacks_on_reverse_link_match_receiver(self):
+        collector = TraceCollector(categories=("netsim",))
+        sim = Simulator(seed=42, telemetry=collector)
         conn, path = build_wired_connection(sim, "tcp-tack", rate_bps=10e6,
                                             rtt_s=0.05)
-        original_sink = conn.sender.on_packet
-        tap = make_tap(sim, sink=original_sink)
-        path.wan.reverse.connect(tap)
         conn.start_transfer(50 * 1500)
         sim.run(until=5.0)
         assert conn.completed
-        assert tap.count(PacketType.TACK) > 0
-        assert tap.count(PacketType.TACK) == conn.receiver.stats.tacks_sent
+        tacks = delivered(collector, path.wan.reverse.name,
+                          PacketType.TACK.value)
+        assert tacks > 0
+        assert tacks == conn.receiver.stats.tacks_sent
+
+    def test_forward_link_delivers_every_data_packet(self):
+        collector = TraceCollector(categories=("netsim",))
+        sim = Simulator(seed=42, telemetry=collector)
+        conn, path = build_wired_connection(sim, "tcp-tack", rate_bps=10e6,
+                                            rtt_s=0.02)
+        conn.start_transfer(30 * 1500)
+        sim.run(until=3.0)
+        assert conn.completed
+        data = delivered(collector, path.wan.forward.name,
+                         PacketType.DATA.value)
+        assert data >= 30
+        assert data == conn.receiver.stats.data_packets

@@ -1,52 +1,8 @@
-"""Tests for trace export and the connection summary API."""
-
-import csv
+"""Tests for the connection summary API."""
 
 import pytest
 
-from repro.netsim.packet import PacketType, make_ack_packet, make_data_packet
-from repro.netsim.trace import make_tap
-
 from conftest import build_wired_connection
-
-
-class TestTraceExport:
-    def test_csv_roundtrip(self, sim, tmp_path):
-        tap = make_tap(sim)
-        tap(make_data_packet(0, 1))
-        tap(make_ack_packet())
-        path = tmp_path / "sub" / "trace.csv"
-        rows = tap.to_csv(str(path))
-        assert rows == 2
-        with open(path) as f:
-            parsed = list(csv.DictReader(f))
-        assert parsed[0]["kind"] == "data"
-        assert parsed[0]["seq"] == "0"
-        assert parsed[1]["kind"] == "ack"
-        assert parsed[1]["seq"] == ""
-
-    def test_summary_by_kind(self, sim):
-        tap = make_tap(sim)
-        tap(make_data_packet(0, 1))
-        tap(make_data_packet(1500, 2))
-        tap(make_ack_packet(kind=PacketType.TACK))
-        summary = tap.summary()
-        assert summary["data"]["packets"] == 2
-        assert summary["data"]["bytes"] == 2 * 1518
-        assert summary["tack"]["packets"] == 1
-
-    def test_live_connection_trace_export(self, sim, tmp_path):
-        conn, path = build_wired_connection(sim, "tcp-tack", rate_bps=10e6,
-                                            rtt_s=0.02)
-        original = conn.receiver.on_packet
-        tap = make_tap(sim, sink=original)
-        path.wan.forward.connect(tap)
-        conn.start_transfer(30 * 1500)
-        sim.run(until=3.0)
-        assert conn.completed
-        n = tap.to_csv(str(tmp_path / "fwd.csv"))
-        assert n == tap.count()
-        assert tap.summary()["data"]["packets"] >= 30
 
 
 class TestConnectionSummary:
